@@ -26,9 +26,12 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over every package (commands and examples included),
-# bounded so a scheduling deadlock fails fast instead of hanging CI.
+# bounded so a scheduling deadlock fails fast instead of hanging CI, plus a
+# stress run of the cross-process span-stitching test, whose failure mode is
+# a timing window that one run rarely hits.
 race:
 	$(GO) test -race -timeout 10m ./...
+	$(GO) test -race -timeout 10m -count=200 -run '^TestTCPTracingStitchesAcrossProcesses$$' ./internal/transport
 
 # Smoke-compile and smoke-run every benchmark once so perf code keeps working.
 bench:

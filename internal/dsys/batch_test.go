@@ -2,6 +2,7 @@ package dsys
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -55,138 +56,185 @@ func TestLiveBatchCoalescesServicePeriods(t *testing.T) {
 	}
 }
 
-// TestLiveBatchQuorumAndCrash checks that the batched path keeps the quorum
-// contract of Invoke: crashed objects never respond, quorums that can still
-// form succeed, and unreachable quorums fail with ErrStuck.
+// liveBatchName names a live-engine subtest by its drain size: 0 leaves
+// WithLiveBatch unset, so every service period drains the default one RMW.
+func liveBatchName(batch int) string {
+	if batch == 0 {
+		return "batch=unset"
+	}
+	return fmt.Sprintf("batch=%d", batch)
+}
+
+// newLiveCluster builds an n-object live cluster with the given service
+// period, setting WithLiveBatch only for a nonzero batch.
+func newLiveCluster(n int, latency time.Duration, batch int) *Cluster {
+	opts := []Option{WithLiveMode(), WithLiveLatency(latency)}
+	if batch > 0 {
+		opts = append(opts, WithLiveBatch(batch))
+	}
+	return newTestCluster(n, opts...)
+}
+
+// TestLiveBatchQuorumAndCrash checks that the live service engine keeps the
+// quorum contract of Invoke: crashed objects never respond, quorums that can
+// still form succeed, and unreachable quorums fail with ErrStuck. Every RMW
+// takes effect through an object server's service period, batched or not.
 func TestLiveBatchQuorumAndCrash(t *testing.T) {
-	c := newTestCluster(5, WithLiveMode(), WithLiveLatency(time.Millisecond), WithLiveBatch(4))
-	defer c.Close()
-	if err := c.CrashObject(4); err != nil {
-		t.Fatal(err)
-	}
+	for _, batch := range []int{0, 4} {
+		t.Run(liveBatchName(batch), func(t *testing.T) {
+			c := newLiveCluster(5, time.Millisecond, batch)
+			defer c.Close()
+			if err := c.CrashObject(4); err != nil {
+				t.Fatal(err)
+			}
 
-	err := c.RunScoped(1, 0, 5, func(h *ClientHandle) error {
-		resp, err := h.InvokeAll(func(obj int) RMW {
-			return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: 1, Seq: 1}, Index: obj}, bits: 8}
-		}, 4)
-		if err != nil {
-			return err
-		}
-		if len(resp) < 4 {
-			t.Errorf("got %d responses, want at least 4", len(resp))
-		}
-		if _, ok := resp[4]; ok {
-			t.Error("crashed object 4 responded")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("quorum of 4 with one crash: %v", err)
-	}
+			err := c.RunScoped(1, 0, 5, func(h *ClientHandle) error {
+				resp, err := h.InvokeAll(func(obj int) RMW {
+					return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: 1, Seq: 1}, Index: obj}, bits: 8}
+				}, 4)
+				if err != nil {
+					return err
+				}
+				if len(resp) < 4 {
+					t.Errorf("got %d responses, want at least 4", len(resp))
+				}
+				if _, ok := resp[4]; ok {
+					t.Error("crashed object 4 responded")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("quorum of 4 with one crash: %v", err)
+			}
+			if got := c.LiveServicePeriods(); got < 4 {
+				t.Fatalf("LiveServicePeriods() = %d after a 4-object quorum, want at least 4", got)
+			}
 
-	// Crash two more: only 2 of 5 objects remain, so a quorum of 4 is
-	// unreachable and the round must fail.
-	if err := c.CrashObject(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CrashObject(1); err != nil {
-		t.Fatal(err)
-	}
-	err = c.RunScoped(2, 0, 5, func(h *ClientHandle) error {
-		_, err := h.InvokeAll(func(obj int) RMW {
-			return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: 2, Seq: 1}, Index: obj}, bits: 8}
-		}, 4)
-		return err
-	})
-	if !errors.Is(err, ErrStuck) {
-		t.Fatalf("unreachable quorum returned %v, want ErrStuck", err)
+			// Crash two more: only 2 of 5 objects remain, so a quorum of 4 is
+			// unreachable and the round must fail.
+			if err := c.CrashObject(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CrashObject(1); err != nil {
+				t.Fatal(err)
+			}
+			err = c.RunScoped(2, 0, 5, func(h *ClientHandle) error {
+				_, err := h.InvokeAll(func(obj int) RMW {
+					return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: 2, Seq: 1}, Index: obj}, bits: 8}
+				}, 4)
+				return err
+			})
+			if !errors.Is(err, ErrStuck) {
+				t.Fatalf("unreachable quorum returned %v, want ErrStuck", err)
+			}
+		})
 	}
 }
 
-// TestLiveBatchChannelAccounting pins Definition 2 under batching: while RMWs
-// sit in an object's service queue their parameters are charged to the
-// channel, and the moment the batch is applied the same bits move to the
-// base-object state — never both, never neither.
+// TestLiveBatchChannelAccounting pins Definition 2 in the live service
+// engine: while RMWs sit in an object's service queue their parameters are
+// charged to the channel, and the moment their batch is applied the same bits
+// move to the base-object state — never both, never neither. A sample taken
+// mid-period must not wait for the period to end.
 func TestLiveBatchChannelAccounting(t *testing.T) {
 	const (
 		bits    = 64
 		rmws    = 5
-		latency = 200 * time.Millisecond
+		latency = 100 * time.Millisecond
 	)
-	c := newTestCluster(1, WithLiveMode(), WithLiveLatency(latency), WithLiveBatch(rmws))
-	defer c.Close()
+	for _, batch := range []int{0, rmws} {
+		t.Run(liveBatchName(batch), func(t *testing.T) {
+			c := newLiveCluster(1, latency, batch)
+			defer c.Close()
 
-	var wg sync.WaitGroup
-	for i := 0; i < rmws; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = c.RunScoped(i+1, 0, 1, func(h *ClientHandle) error {
-				_, err := h.Invoke([]int{0}, func(int) RMW {
-					return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: i + 1, Seq: 1}}, bits: bits}
-				}, 1)
-				return err
-			})
-		}()
-	}
+			var wg sync.WaitGroup
+			for i := 0; i < rmws; i++ {
+				i := i
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = c.RunScoped(i+1, 0, 1, func(h *ClientHandle) error {
+						_, err := h.Invoke([]int{0}, func(int) RMW {
+							return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: i + 1, Seq: 1}}, bits: bits}
+						}, 1)
+						return err
+					})
+				}()
+			}
 
-	// Wait until all five requests are queued, well within the first service
-	// period (the server sleeps latency before applying anything).
-	deadline := time.Now().Add(latency / 2)
-	for {
-		c.objs()[0].qmu.Lock()
-		queued := len(c.objs()[0].queue)
-		c.objs()[0].qmu.Unlock()
-		if queued == rmws {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d RMWs queued before the first service period ended", queued, rmws)
-		}
-		time.Sleep(time.Millisecond)
-	}
+			// Wait until all five requests are queued, well within the first
+			// service period (the server sleeps latency before applying
+			// anything).
+			deadline := time.Now().Add(latency / 2)
+			for {
+				c.objs()[0].qmu.Lock()
+				queued := len(c.objs()[0].queue)
+				c.objs()[0].qmu.Unlock()
+				if queued == rmws {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d RMWs queued before the first service period ended", queued, rmws)
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	snap := c.SampleStorage()
-	if snap.ChannelBits != rmws*bits {
-		t.Fatalf("in-flight ChannelBits = %d, want %d", snap.ChannelBits, rmws*bits)
-	}
-	if snap.BaseObjectBits != 0 {
-		t.Fatalf("BaseObjectBits = %d before any batch applied, want 0", snap.BaseObjectBits)
-	}
+			start := time.Now()
+			snap := c.SampleStorage()
+			if took := time.Since(start); took > latency/2 {
+				t.Fatalf("SampleStorage took %v mid-period; it waited behind the service period", took)
+			}
+			if snap.ChannelBits != rmws*bits {
+				t.Fatalf("in-flight ChannelBits = %d, want %d", snap.ChannelBits, rmws*bits)
+			}
+			if snap.BaseObjectBits != 0 {
+				t.Fatalf("BaseObjectBits = %d before any batch applied, want 0", snap.BaseObjectBits)
+			}
 
-	wg.Wait()
-	snap = c.SampleStorage()
-	if snap.ChannelBits != 0 {
-		t.Fatalf("ChannelBits = %d after quiescence, want 0", snap.ChannelBits)
-	}
-	if snap.BaseObjectBits != rmws*bits {
-		t.Fatalf("BaseObjectBits = %d after quiescence, want %d", snap.BaseObjectBits, rmws*bits)
+			wg.Wait()
+			snap = c.SampleStorage()
+			if snap.ChannelBits != 0 {
+				t.Fatalf("ChannelBits = %d after quiescence, want 0", snap.ChannelBits)
+			}
+			if snap.BaseObjectBits != rmws*bits {
+				t.Fatalf("BaseObjectBits = %d after quiescence, want %d", snap.BaseObjectBits, rmws*bits)
+			}
+		})
 	}
 }
 
 // TestLiveBatchCloseReleasesClients checks that Close unblocks clients whose
-// rounds are still queued at object servers.
+// rounds are still queued at object servers, without waiting out the service
+// period they are queued behind.
 func TestLiveBatchCloseReleasesClients(t *testing.T) {
-	c := newTestCluster(1, WithLiveMode(), WithLiveLatency(time.Hour), WithLiveBatch(2))
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- c.RunScoped(1, 0, 1, func(h *ClientHandle) error {
-			_, err := h.Invoke([]int{0}, func(int) RMW {
-				return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: 1, Seq: 1}}, bits: 8}
-			}, 1)
-			return err
+	const latency = 3 * time.Second
+	for _, batch := range []int{0, 2} {
+		t.Run(liveBatchName(batch), func(t *testing.T) {
+			c := newLiveCluster(1, latency, batch)
+			errCh := make(chan error, 1)
+			go func() {
+				errCh <- c.RunScoped(1, 0, 1, func(h *ClientHandle) error {
+					_, err := h.Invoke([]int{0}, func(int) RMW {
+						return addBlockRMW{source: oracle.SourceTag{Write: oracle.WriteID{Client: 1, Seq: 1}}, bits: 8}
+					}, 1)
+					return err
+				})
+			}()
+			// Give the round a moment to enqueue, then halt the cluster.
+			time.Sleep(10 * time.Millisecond)
+			start := time.Now()
+			c.Close()
+			if took := time.Since(start); took > latency/2 {
+				t.Fatalf("Close took %v; it waited out the service period", took)
+			}
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, ErrHalted) {
+					t.Fatalf("halted round returned %v, want ErrHalted", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("client still blocked after Close")
+			}
 		})
-	}()
-	// Give the round a moment to enqueue, then halt the cluster.
-	time.Sleep(10 * time.Millisecond)
-	c.Close()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrHalted) {
-			t.Fatalf("halted round returned %v, want ErrHalted", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("client still blocked after Close")
 	}
 }

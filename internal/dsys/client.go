@@ -169,27 +169,31 @@ func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum i
 		}
 	}
 	hh, sp := h.traceRound()
-	if m := h.c.met.Load(); m != nil {
-		start := time.Now()
-		resp, err := hh.dispatch(targets, makeRMW, quorum)
-		m.observeRound(h.base, start, err)
-		h.finishRound(&sp)
-		return resp, err
+	m := h.c.met.Load()
+	var start time.Time
+	if m != nil {
+		start = time.Now()
 	}
 	resp, err := hh.dispatch(targets, makeRMW, quorum)
+	if m != nil {
+		m.observeRound(h.base, start, err)
+	}
 	h.finishRound(&sp)
 	return resp, err
 }
 
-// dispatch routes a validated round to the engine variant behind the handle.
+// dispatch routes a validated round to one of the three round engines: the
+// remote engine, where the transport owns the quorum; the live engine; and
+// the controlled engine, where the scheduling policy owns the schedule.
 func (h *ClientHandle) dispatch(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
-	if h.c.remote != nil {
+	switch {
+	case h.c.remote != nil:
 		return h.invokeRemote(targets, makeRMW, quorum)
-	}
-	if h.c.opts.mode == Live {
+	case h.c.opts.mode == Live:
 		return h.invokeLive(targets, makeRMW, quorum)
+	default:
+		return h.invokeControlled(targets, makeRMW, quorum)
 	}
-	return h.invokeControlled(targets, makeRMW, quorum)
 }
 
 // invokeRemote delegates the round to the remote cluster's transport:
@@ -259,126 +263,43 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 	return resp, nil
 }
 
-// invokeLive is the batched live-mode fast path: it applies the whole round
-// of RMWs immediately, serialized only by the per-object apply mutexes.
-// Crashed objects are skipped via an atomic flag, so the cluster-wide mutex
-// is never touched — concurrent clients whose scopes cover disjoint objects
-// share no locks at all. It returns an error if fewer than quorum objects are
-// alive, which models a client waiting forever for a quorum that cannot form.
+// invokeLive is the live round engine. Each target that is neither crashed
+// nor retired gets its RMW. Without WithLiveLatency the RMW is applied
+// inline, serialized only by the object's apply mutex: no goroutine, no
+// channel and no cluster-wide lock, so clients on disjoint objects share no
+// locks at all. Under WithLiveLatency it goes on the object's service queue
+// and the round waits for replies until it has a quorum; queued stragglers
+// take effect later, exactly as for a client rescheduled in controlled mode.
+// A round that cannot gather a quorum fails, which models a client waiting
+// forever for a quorum that cannot form.
 func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
 	c := h.c
-	if c.opts.liveLatency > 0 {
-		return h.invokeLiveLatency(targets, makeRMW, quorum)
-	}
 	objects := c.objs()
 	tc := trace.FromContext(h.ctx)
 	resp := make(map[int]any, len(targets))
+	var ch chan liveResult
+	queued := 0
 	for _, objID := range targets {
 		obj := objects[h.base+objID]
 		if obj.crashed.Load() || obj.retired.Load() {
 			continue
 		}
 		rmw := makeRMW(objID)
-		obj.liveMu.Lock()
-		r := rmw.Apply(obj.state)
-		obj.applied++
-		c.journalApplyTraced(h.base+objID, rmw, tc)
-		obj.liveMu.Unlock()
-		resp[objID] = r
-	}
-	if len(resp) < quorum {
-		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, len(resp), quorum)
-	}
-	return resp, nil
-}
-
-// invokeLiveLatency is the live path under WithLiveLatency: the round's RMWs
-// are dispatched concurrently (the client "sends" to all targets at once, as
-// in the message-passing reading of the model) and each base object serves
-// them serially, staying busy for the configured service time per RMW. The
-// round returns as soon as a quorum of responses has arrived — matching
-// Invoke's contract and the registers' quorum logic — while stragglers keep
-// applying in the background (their RMWs still take effect, their responses
-// are dropped, exactly as for a client rescheduled in controlled mode). The
-// queueing this creates on busy objects is the point — it is how a
-// finite-capacity storage node behaves under load.
-func (h *ClientHandle) invokeLiveLatency(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
-	c := h.c
-	if c.opts.liveBatch > 1 {
-		return h.invokeLiveBatched(targets, makeRMW, quorum)
-	}
-	type result struct {
-		obj  int
-		resp any
-		ok   bool
-	}
-	objects := c.objs()
-	tc := trace.FromContext(h.ctx)
-	ch := make(chan result, len(targets))
-	dispatched := 0
-	for _, objID := range targets {
-		obj := objects[h.base+objID]
-		if obj.crashed.Load() || obj.retired.Load() {
-			continue
-		}
-		rmw := makeRMW(objID)
-		dispatched++
-		c.wg.Add(1) // stragglers past the quorum are joined by Close
-		go func(objID int, obj *object) {
-			defer c.wg.Done()
+		if c.opts.liveLatency == 0 {
 			obj.liveMu.Lock()
-			time.Sleep(c.opts.liveLatency)
-			if obj.crashed.Load() || obj.retired.Load() {
-				obj.liveMu.Unlock()
-				ch <- result{obj: objID}
-				return
-			}
-			r := rmw.Apply(obj.state)
-			obj.applied++
-			c.journalApplyTraced(h.base+objID, rmw, tc)
+			resp[objID] = c.applyLocked(obj, rmw, tc)
 			obj.liveMu.Unlock()
-			ch <- result{obj: objID, resp: r, ok: true}
-		}(objID, obj)
-	}
-	resp := make(map[int]any, dispatched)
-	for received := 0; received < dispatched && len(resp) < quorum; received++ {
-		r := <-ch
-		if r.ok {
-			resp[r.obj] = r.resp
-		}
-	}
-	if len(resp) < quorum {
-		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, len(resp), quorum)
-	}
-	return resp, nil
-}
-
-// invokeLiveBatched is the coalescing variant of invokeLiveLatency (active
-// under WithLiveBatch): instead of spawning a goroutine per RMW that holds
-// the object busy for a full service period, each RMW is enqueued at its
-// object's service queue and the object's server drains up to liveBatch of
-// them per period. The quorum contract is unchanged — the round returns as
-// soon as quorum responses have arrived, and stragglers keep queueing and
-// take effect later.
-func (h *ClientHandle) invokeLiveBatched(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
-	c := h.c
-	objects := c.objs()
-	tc := trace.FromContext(h.ctx)
-	ch := make(chan liveResult, len(targets))
-	dispatched := 0
-	for _, objID := range targets {
-		obj := objects[h.base+objID]
-		if obj.crashed.Load() || obj.retired.Load() {
 			continue
 		}
-		if c.enqueueLive(obj, &liveReq{rmw: makeRMW(objID), client: h.id, obj: objID, ch: ch, tc: tc}) {
-			dispatched++
+		if ch == nil {
+			ch = make(chan liveResult, len(targets))
+		}
+		if c.enqueueLive(obj, &liveReq{rmw: rmw, client: h.id, obj: objID, ch: ch, tc: tc}) {
+			queued++
 		}
 	}
-	resp := make(map[int]any, dispatched)
-	for received := 0; received < dispatched && len(resp) < quorum; received++ {
-		r := <-ch
-		if r.ok {
+	for received := 0; received < queued && len(resp) < quorum; received++ {
+		if r := <-ch; r.ok {
 			resp[r.obj] = r.resp
 		}
 	}

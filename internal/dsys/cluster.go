@@ -58,25 +58,25 @@ func WithControlledMode() Option { return func(o *options) { o.mode = Controlled
 // exceeding the bound marks the run stuck. Zero means unbounded.
 func WithMaxSteps(n int) Option { return func(o *options) { o.maxSteps = n } }
 
-// WithLiveLatency gives every base object a fixed RMW service time in live
-// mode: each object applies its RMWs serially, holding itself busy for d per
-// application, and clients dispatch each round's RMWs concurrently and wait
-// for the quorum. This turns the live runtime into a queueing model of a real
-// storage cluster — n base objects provide n·(1/d) aggregate service capacity
-// — so throughput experiments see shards scale capacity the way added
-// storage nodes do. Zero (the default) keeps the synchronous in-process fast
-// path.
+// WithLiveLatency gives every base object a fixed service period d in live
+// mode. Clients put each round's RMWs on the targets' service queues and wait
+// for the quorum; each object's server drains its queue one period at a time,
+// holding the object busy for d and then applying the drained RMWs (one per
+// period unless WithLiveBatch says more). This turns the live runtime into a
+// queueing model of a real storage cluster — n base objects provide n·(1/d)
+// aggregate service capacity — so throughput experiments see shards scale
+// capacity the way added storage nodes do. Queued RMWs count as in-channel
+// blocks (Definition 2) until they apply. Zero (the default) applies RMWs
+// inline in the client's round instead.
 func WithLiveLatency(d time.Duration) Option { return func(o *options) { o.liveLatency = d } }
 
-// WithLiveBatch lets every base object coalesce up to n pending RMWs into a
-// single service period under WithLiveLatency: instead of holding itself busy
-// for d per RMW, an object drains up to n queued RMWs, sleeps d once, and
-// applies the whole batch atomically. This is the node-level half of the
-// batched quorum engine — it amortizes the per-operation service period the
-// same way group commit amortizes an fsync — and it multiplies an object's
-// service capacity from 1/d to n/d RMWs per second. Values of n below 2 (the
-// default) keep the one-RMW-per-period engine. The option has no effect
-// without WithLiveLatency.
+// WithLiveBatch sets how many queued RMWs one service period drains under
+// WithLiveLatency: an object's server takes up to n queued RMWs, sleeps d
+// once, and applies the whole batch atomically. This is the node-level half
+// of the batched quorum engine — it amortizes the per-operation service
+// period the same way group commit amortizes an fsync — and it multiplies an
+// object's service capacity from 1/d to n/d RMWs per second. The default is
+// 1. The option has no effect without WithLiveLatency.
 func WithLiveBatch(n int) Option { return func(o *options) { o.liveBatch = n } }
 
 // WithDataBits records D (the register value size in bits) so that policies
@@ -165,21 +165,20 @@ type object struct {
 	applied int
 	liveMu  sync.Mutex // serializes Apply in live mode
 
-	// Batched live-mode service queue (used only when both WithLiveLatency
-	// and WithLiveBatch are active). Enqueued RMWs are drained by the
-	// object's server goroutine in batches of up to liveBatch per service
-	// period. Entries stay queued until their batch has been applied, so
-	// storage snapshots charge their parameters to the channel for exactly
-	// the window in which they are in flight (Definition 2).
+	// Live-mode service queue (used only under WithLiveLatency). Enqueued
+	// RMWs are drained by the object's server goroutine, up to liveBatch per
+	// service period. Entries stay queued until their batch has been
+	// applied, so storage snapshots charge their parameters to the channel
+	// for exactly the window in which they are in flight (Definition 2).
 	qmu        sync.Mutex
 	qcond      *sync.Cond
 	queue      []*liveReq
 	serverOn   bool
 	serverGone bool
-	periods    int // completed service periods (batched engine only)
+	periods    int // completed service periods
 }
 
-// liveReq is one RMW enqueued at a base object's batched live-mode queue.
+// liveReq is one RMW enqueued at a base object's live-mode service queue.
 type liveReq struct {
 	rmw    RMW
 	client int
@@ -260,7 +259,7 @@ type Cluster struct {
 
 	stripes [numClientStripes]clientStripe
 
-	// liveHalted mirrors halted for the batched live engine: object servers
+	// liveHalted mirrors halted for the live engine: object servers
 	// and enqueuers consult it without taking the cluster-wide mutex, and
 	// closed is closed alongside it so servers mid-service-period wake up
 	// instead of sleeping out their latency.
@@ -395,7 +394,7 @@ func (c *Cluster) RetireObjects(base, span int) error {
 	tracer := c.opts.tracer
 	c.mu.Unlock()
 	c.cond.Broadcast()
-	// Wake batched live-mode servers so queued RMWs on the retired objects are
+	// Wake live-mode servers so queued RMWs on the retired objects are
 	// answered instead of waiting out a service period.
 	for i := base; i < base+span; i++ {
 		o := objects[i]
@@ -783,7 +782,7 @@ func (c *Cluster) snapshotLocked() *storagecost.Snapshot {
 		}
 		// Take the apply mutex first and the queue mutex inside it — the
 		// same order as the object server's apply-then-dequeue step — so a
-		// batched live-mode sample sees each in-flight RMW in exactly one
+		// live-mode sample sees each in-flight RMW in exactly one
 		// place: in the channel while queued, in the object state afterwards.
 		o.liveMu.Lock()
 		refs := o.state.Blocks()
@@ -850,10 +849,26 @@ func (c *Cluster) OutstandingOps() []OpID {
 	return out
 }
 
-// enqueueLive appends a request to the object's batched service queue,
-// lazily starting the object's server goroutine on first use. It reports
-// false when the cluster has halted and the request will never be served;
-// the caller then counts the request as answered with a failure.
+// applyLocked makes rmw take effect on o: it applies the RMW, counts it, and
+// journals it under the applying operation's trace context. Every apply that
+// takes effect for a client goes through it — the inline live round, the
+// object servers, ApplyOne and the controlled-mode coordinator — so the
+// journal and the applies counter see exactly the RMWs that took effect.
+// Callers hold the object's apply lock (liveMu, or c.mu in controlled mode).
+func (c *Cluster) applyLocked(o *object, rmw RMW, tc trace.Context) any {
+	r := rmw.Apply(o.state)
+	o.applied++
+	c.journalApply(o.id, rmw, tc)
+	if m := c.met.Load(); m != nil {
+		m.applies.Inc()
+	}
+	return r
+}
+
+// enqueueLive appends a request to the object's service queue, lazily
+// starting the object's server goroutine on first use. It reports false when
+// the cluster has halted and the request will never be served; the caller
+// then counts the request as answered with a failure.
 func (c *Cluster) enqueueLive(o *object, req *liveReq) bool {
 	o.qmu.Lock()
 	if c.liveHalted.Load() || o.serverGone {
@@ -872,16 +887,21 @@ func (c *Cluster) enqueueLive(o *object, req *liveReq) bool {
 	return true
 }
 
-// objectServer is the batched live-mode service loop of one base object: it
-// drains up to liveBatch queued RMWs, holds the object busy for one service
-// period, applies the whole batch atomically, and replies. Requests are
-// dequeued only after they have been applied — and the dequeue happens under
-// the object's apply mutex — so a storage snapshot observes every in-flight
-// RMW in exactly one place: in the channel while pending, in the base-object
-// state afterwards.
+// objectServer is the live-mode service loop of one base object: it drains
+// up to liveBatch queued RMWs (at least one), holds the object busy for one
+// service period, applies the whole batch atomically, and replies. Requests
+// are dequeued only after they have been applied — and the dequeue happens
+// under the object's apply mutex — so a storage snapshot observes every
+// in-flight RMW in exactly one place: in the channel while pending, in the
+// base-object state afterwards. The apply mutex is held only for the apply
+// itself, never across the service period, so snapshots and Close do not
+// wait behind a sleeping object.
 func (c *Cluster) objectServer(o *object) {
 	defer c.wg.Done()
-	maxBatch := c.opts.liveBatch
+	maxBatch := max(1, c.opts.liveBatch)
+	timer := time.NewTimer(c.opts.liveLatency)
+	timer.Stop()
+	var results []liveResult
 	for {
 		o.qmu.Lock()
 		for len(o.queue) == 0 && !c.liveHalted.Load() {
@@ -897,19 +917,17 @@ func (c *Cluster) objectServer(o *object) {
 			}
 			return
 		}
-		n := len(o.queue)
-		if n > maxBatch {
-			n = maxBatch
-		}
-		batch := make([]*liveReq, n)
-		copy(batch, o.queue[:n])
+		// Enqueuers only append past the end, so the batch can alias the
+		// queue's first n entries until the dequeue below.
+		n := min(len(o.queue), maxBatch)
+		batch := o.queue[:n:n]
 		o.qmu.Unlock()
 
 		// One service period covers the whole batch: this is the coalescing
 		// that lifts the object's capacity from 1/d to liveBatch/d. A halt
 		// interrupts the period; the drain branch above then answers the
 		// still-queued batch.
-		timer := time.NewTimer(c.opts.liveLatency)
+		timer.Reset(c.opts.liveLatency)
 		select {
 		case <-timer.C:
 		case <-c.closed:
@@ -917,22 +935,19 @@ func (c *Cluster) objectServer(o *object) {
 			continue
 		}
 
-		results := make([]liveResult, n)
+		results = results[:0]
 		o.liveMu.Lock()
-		if o.crashed.Load() || o.retired.Load() {
-			// Crashed objects drop their RMWs; retired objects were
-			// decommissioned by reconfiguration and must never mutate again —
-			// a straggler queued past its round's quorum is answered failed,
-			// like a message to an unplugged node.
-			for i, r := range batch {
-				results[i] = liveResult{obj: r.obj}
+		// Crashed objects drop their RMWs; retired objects were
+		// decommissioned by reconfiguration and must never mutate again — a
+		// straggler queued past its round's quorum is answered failed, like a
+		// message to an unplugged node.
+		down := o.crashed.Load() || o.retired.Load()
+		for _, r := range batch {
+			if down {
+				results = append(results, liveResult{obj: r.obj})
+				continue
 			}
-		} else {
-			for i, r := range batch {
-				results[i] = liveResult{obj: r.obj, resp: r.rmw.Apply(o.state), ok: true}
-				c.journalApplyTraced(o.id, r.rmw, r.tc)
-			}
-			o.applied += n
+			results = append(results, liveResult{obj: r.obj, resp: c.applyLocked(o, r.rmw, r.tc), ok: true})
 		}
 		o.qmu.Lock()
 		o.queue = o.queue[n:]
@@ -945,10 +960,10 @@ func (c *Cluster) objectServer(o *object) {
 	}
 }
 
-// LiveServicePeriods returns the total number of service periods the batched
-// live engine has completed across all base objects. With coalescing active
-// it is strictly smaller than the number of applied RMWs; tests use the ratio
-// to prove that batching actually amortizes service time.
+// LiveServicePeriods returns the total number of service periods the live
+// engine has completed across all base objects. With coalescing active it is
+// strictly smaller than the number of applied RMWs; tests use the ratio to
+// prove that batching actually amortizes service time.
 func (c *Cluster) LiveServicePeriods() int {
 	total := 0
 	for _, o := range c.objs() {

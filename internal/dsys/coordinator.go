@@ -1,5 +1,7 @@
 package dsys
 
+import "spacebounds/internal/trace"
+
 // coordinator is the controlled-mode scheduling loop. It runs while the
 // cluster is open and, whenever no client task holds the run token, asks the
 // policy for the next move: let a pending RMW take effect, let a ready client
@@ -193,11 +195,8 @@ func (c *Cluster) applyPendingLocked(index int) {
 		// silently (it can never take effect).
 		return
 	}
-	resp := p.rmw.Apply(obj.state)
-	obj.applied++
-	c.journalApply(p.object, p.rmw)
 	p.call.Done = true
-	p.call.Response = resp
+	p.call.Response = c.applyLocked(obj, p.rmw, trace.Context{})
 	c.idleReason = ""
 	if c.opts.tracer != nil {
 		c.emitTrace(TraceEvent{Step: c.steps, Kind: TraceApply, Object: p.object, Client: p.op.Client, Op: p.op})

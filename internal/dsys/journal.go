@@ -71,20 +71,13 @@ func (c *Cluster) SetJournal(j Journal) {
 	c.jour.Store(h)
 }
 
-// journalApply reports one applied RMW to the attached journal, if any.
-// Callers hold the object's apply lock (liveMu, or c.mu in controlled mode),
-// which is what serializes the journal's record order with the apply order.
-func (c *Cluster) journalApply(object int, rmw RMW) {
-	if h := c.jour.Load(); h != nil {
-		h.j.RecordApply(object, rmw)
-	}
-}
-
-// journalApplyTraced is journalApply carrying the applying operation's trace
-// context: a sampled apply reaches a TracedJournal through the extension so
-// the journal's stages join the operation's trace, and everything else takes
-// the plain path.
-func (c *Cluster) journalApplyTraced(object int, rmw RMW, tc trace.Context) {
+// journalApply reports one applied RMW to the attached journal, if any. A
+// sampled apply reaches a TracedJournal through the extension, so the
+// journal's stages join the applying operation's trace; everything else takes
+// the plain path. Callers hold the object's apply lock (liveMu, or c.mu in
+// controlled mode), which is what serializes the journal's record order with
+// the apply order.
+func (c *Cluster) journalApply(object int, rmw RMW, tc trace.Context) {
 	h := c.jour.Load()
 	if h == nil {
 		return

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spacebounds/internal/storagecost"
+	"spacebounds/internal/trace"
 )
 
 // recJournal records RecordApply calls and reports fixed durable blocks.
@@ -41,7 +42,7 @@ func TestJournalRecordsAppliesAndDurableBlocks(t *testing.T) {
 	}}
 	c.SetJournal(j)
 	for i := 0; i < 2; i++ {
-		if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}); err != nil {
+		if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}, trace.Context{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func TestJournalRecordsAppliesAndDurableBlocks(t *testing.T) {
 	}
 
 	c.SetJournal(nil)
-	if _, err := c.ApplyOne(1, addBlockRMW{bits: 8}); err != nil {
+	if _, err := c.ApplyOne(1, addBlockRMW{bits: 8}, trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.recorded(); len(got) != 2 {
@@ -75,7 +76,7 @@ func TestJournalRecordsAppliesAndDurableBlocks(t *testing.T) {
 func TestObjectStateReadRestoreReplay(t *testing.T) {
 	c := newTestCluster(3, WithLiveMode())
 	defer c.Close()
-	if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}); err != nil {
+	if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}, trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	var counter int

@@ -36,8 +36,8 @@ type regionRounds struct {
 }
 
 // SetMetrics attaches a metrics registry to the cluster: every quorum round
-// from then on observes its latency and outcome, and ApplyOne counts applied
-// RMWs. Passing nil detaches. Regions are labeled by their base object ID
+// from then on observes its latency and outcome, and every RMW that takes
+// effect on this cluster's base objects is counted. Passing nil detaches. Regions are labeled by their base object ID
 // until LabelRegion gives them a human-readable name.
 func (c *Cluster) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {

@@ -58,18 +58,13 @@ func (c *Cluster) closeRemote() {
 
 // ApplyOne applies a single RMW to base object id (a global ID) immediately,
 // serialized by the object's apply mutex. It is the server-side entry point a
-// transport uses to make a decoded remote RMW take effect; the object's
-// lifecycle flags map onto the envelope statuses via the returned sentinel
-// errors (ErrUnknownObject, ErrRetiredObject, ErrObjectDown, ErrHalted).
-func (c *Cluster) ApplyOne(id int, rmw RMW) (any, error) {
-	return c.ApplyOneTraced(id, rmw, trace.Context{})
-}
-
-// ApplyOneTraced is ApplyOne carrying the trace context the RMW's envelope
-// arrived with: a sampled apply forwards it to the journal so WAL stages
-// record under the originating operation's trace. The zero context makes it
-// exactly ApplyOne.
-func (c *Cluster) ApplyOneTraced(id int, rmw RMW, tc trace.Context) (any, error) {
+// transport uses to make a decoded remote RMW take effect; tc is the trace
+// context the RMW's envelope arrived with (zero when untraced), which a
+// sampled apply forwards to the journal so WAL stages record under the
+// originating operation's trace. The object's lifecycle flags map onto the
+// envelope statuses via the returned sentinel errors (ErrUnknownObject,
+// ErrRetiredObject, ErrObjectDown, ErrHalted).
+func (c *Cluster) ApplyOne(id int, rmw RMW, tc trace.Context) (any, error) {
 	if c.liveHalted.Load() {
 		return nil, ErrHalted
 	}
@@ -85,12 +80,7 @@ func (c *Cluster) ApplyOneTraced(id int, rmw RMW, tc trace.Context) (any, error)
 		return nil, fmt.Errorf("%w: %d", ErrObjectDown, id)
 	}
 	o.liveMu.Lock()
-	r := rmw.Apply(o.state)
-	o.applied++
-	c.journalApplyTraced(id, rmw, tc)
+	r := c.applyLocked(o, rmw, tc)
 	o.liveMu.Unlock()
-	if m := c.met.Load(); m != nil {
-		m.applies.Inc()
-	}
 	return r, nil
 }

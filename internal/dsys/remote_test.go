@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"spacebounds/internal/trace"
 )
 
 // fakeInvoker answers every target with a fixed value and records Close.
@@ -77,36 +79,36 @@ func TestApplyOneLifecycleErrors(t *testing.T) {
 	c := newTestCluster(4, WithLiveMode())
 	rmw := addBlockRMW{bits: 8}
 
-	if v, err := c.ApplyOne(1, rmw); err != nil || v.(int) != 1 {
+	if v, err := c.ApplyOne(1, rmw, trace.Context{}); err != nil || v.(int) != 1 {
 		t.Fatalf("ApplyOne = (%v, %v), want (1, nil)", v, err)
 	}
-	if v, err := c.ApplyOne(1, readCounterRMW{}); err != nil || v.(int) != 1 {
+	if v, err := c.ApplyOne(1, readCounterRMW{}, trace.Context{}); err != nil || v.(int) != 1 {
 		t.Fatalf("read after apply = (%v, %v), want (1, nil)", v, err)
 	}
 
-	if _, err := c.ApplyOne(-1, rmw); !errors.Is(err, ErrUnknownObject) {
+	if _, err := c.ApplyOne(-1, rmw, trace.Context{}); !errors.Is(err, ErrUnknownObject) {
 		t.Fatalf("negative id: %v, want ErrUnknownObject", err)
 	}
-	if _, err := c.ApplyOne(4, rmw); !errors.Is(err, ErrUnknownObject) {
+	if _, err := c.ApplyOne(4, rmw, trace.Context{}); !errors.Is(err, ErrUnknownObject) {
 		t.Fatalf("out-of-range id: %v, want ErrUnknownObject", err)
 	}
 
 	if err := c.CrashObject(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ApplyOne(2, rmw); !errors.Is(err, ErrObjectDown) {
+	if _, err := c.ApplyOne(2, rmw, trace.Context{}); !errors.Is(err, ErrObjectDown) {
 		t.Fatalf("crashed object: %v, want ErrObjectDown", err)
 	}
 
 	if err := c.RetireObjects(3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ApplyOne(3, rmw); !errors.Is(err, ErrRetiredObject) {
+	if _, err := c.ApplyOne(3, rmw, trace.Context{}); !errors.Is(err, ErrRetiredObject) {
 		t.Fatalf("retired object: %v, want ErrRetiredObject", err)
 	}
 
 	c.Close()
-	if _, err := c.ApplyOne(0, rmw); !errors.Is(err, ErrHalted) {
+	if _, err := c.ApplyOne(0, rmw, trace.Context{}); !errors.Is(err, ErrHalted) {
 		t.Fatalf("halted cluster: %v, want ErrHalted", err)
 	}
 }

@@ -1,6 +1,5 @@
 // Package erasure implements the symmetric black-box coding schemes of the
-// paper (Section 3): replication, k-of-n Reed-Solomon erasure codes, an XOR
-// parity code, and a rateless random-linear code.
+// paper (Section 3): replication and k-of-n Reed-Solomon erasure codes.
 //
 // All codes implement the Code interface and satisfy the paper's symmetric
 // encoding assumption (Definition 3): the size of block i depends only on i
@@ -50,14 +49,13 @@ var (
 //
 // K is the number of distinct blocks sufficient (and necessary) to decode;
 // N is the number of distinct block indexes the scheme natively produces —
-// one per base object in the register emulations. Rateless codes can produce
-// blocks for any index via EncodeBlock, but still advertise a nominal N.
+// one per base object in the register emulations.
 type Code interface {
 	// Name identifies the scheme, e.g. "rs(3,7)".
 	Name() string
 	// K returns the decode threshold.
 	K() int
-	// N returns the nominal number of distinct blocks produced by Encode.
+	// N returns the number of distinct blocks produced by Encode.
 	N() int
 	// BlockSizeBytes returns the size of block index for a value of dataLen
 	// bytes. Symmetry (Definition 3) means the result is independent of the

@@ -205,7 +205,7 @@ func (s *Server) serve(body []byte) dsys.Response {
 		sp.Span.Note = env.Kind
 		tc = sp.Context()
 	}
-	out, err := s.cluster.ApplyOneTraced(env.Object, rmw, tc)
+	out, err := s.cluster.ApplyOne(env.Object, rmw, tc)
 	sp.Done()
 	if err != nil {
 		switch {

@@ -206,6 +206,8 @@ func (cc *clientConn) register(reqID uint64, call *pendingCall) {
 // like responses to a client that has moved on (the RMW still took effect).
 // The in-flight gauge drops only if the call was still pending — a response
 // (take) or connection failure (shutdown) may have accounted for it already.
+// A call still pending here is recorded as an abandoned RPC span: the node
+// may yet apply it under that span's ID, and the apply span needs its parent.
 func (cc *clientConn) deregister(reqID uint64) {
 	cc.pmu.Lock()
 	call, ok := cc.pending[reqID]
@@ -213,19 +215,24 @@ func (cc *clientConn) deregister(reqID uint64) {
 	cc.pmu.Unlock()
 	if ok {
 		cc.nm.observeResponse(call, false)
+		cc.recordRPC(call, false)
 	}
 }
 
 // take removes and returns the pending call for a response frame, recording
-// its latency.
+// its latency. The RPC span is recorded before the pending lock is released,
+// so a round that deregisters this call concurrently returns only after the
+// span exists.
 func (cc *clientConn) take(reqID uint64) *pendingCall {
 	cc.pmu.Lock()
 	call := cc.pending[reqID]
 	delete(cc.pending, reqID)
+	if call != nil {
+		cc.recordRPC(call, true)
+	}
 	cc.pmu.Unlock()
 	if call != nil {
 		cc.nm.observeResponse(call, true)
-		cc.recordRPC(call)
 	}
 	return call
 }

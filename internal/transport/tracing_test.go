@@ -13,8 +13,8 @@ import (
 // deployment — and asserts the cross-process contract: the client records op,
 // round, and rpc spans; the server records apply spans on the *client's*
 // trace IDs, parented under client rpc span IDs it never saw except on the
-// wire; and an untraced client leaves the server recorder empty (v1 frames
-// carry no context).
+// wire; and an untraced client adds no server spans (v1 frames carry no
+// context).
 func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 	backing, err := shard.New(specsFor(t))
 	if err != nil {
@@ -49,8 +49,10 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 		case trace.StageRPC:
 			rpcs++
 			rpcIDs[s.ID] = true
-			if s.Note != addr {
-				t.Errorf("rpc span noted %q, want the node address %q", s.Note, addr)
+			// Served calls note the node; stragglers the round moved on from
+			// are recorded as abandoned so their apply spans keep a parent.
+			if s.Note != addr && s.Note != "abandoned" {
+				t.Errorf("rpc span noted %q, want the node address %q or \"abandoned\"", s.Note, addr)
 			}
 		}
 	}
@@ -80,7 +82,9 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 		t.Fatal("server recorded no apply spans from traced requests")
 	}
 
-	// An untraced client sends v1 frames: the server's recorder stays quiet.
+	// An untraced client sends v1 frames: the server records nothing for
+	// them. Stragglers of the traced client may still be applied meanwhile,
+	// so every server span must belong to a trace the traced client started.
 	cli2, err := transport.Dial([]string{addr})
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +94,10 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs2.Close()
-	before := len(srvTr.Snapshot())
 	exerciseRemote(t, rs2)
-	if after := len(srvTr.Snapshot()); after != before {
-		t.Errorf("untraced client produced %d server spans", after-before)
+	for _, s := range srvTr.Snapshot() {
+		if !traces[s.Trace] {
+			t.Errorf("server span on trace %016x, which no traced client op started", s.Trace)
+		}
 	}
 }

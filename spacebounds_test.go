@@ -157,41 +157,6 @@ func TestStoreShardedKeyRouting(t *testing.T) {
 	}
 }
 
-// TestDeprecatedPositionalWriteRead pins the back-compat contract of the
-// deprecated positional Write/Read: they address the default (first) shard,
-// interchangeably with WriteKey/ReadKey under that shard's name. Every other
-// caller has migrated to the keyed forms; this test is the one deliberate
-// holdout keeping the deprecated surface honest until it is removed.
-func TestDeprecatedPositionalWriteRead(t *testing.T) {
-	s, err := Open(Options{
-		ValueSize: 32,
-		Shards:    []ShardSpec{{Name: "first"}, {Name: "second"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Write(1, []byte("direct")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadKey(2, "first")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:6], []byte("direct")) {
-		t.Fatalf("positional write not visible via the default shard's name: %q", got)
-	}
-	if err := s.WriteKey(3, "first", []byte("keyed!")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err = s.Read(4); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:6], []byte("keyed!")) {
-		t.Fatalf("positional read missed the keyed write: %q", got)
-	}
-}
-
 func TestOpenDoesNotMutateCallerShards(t *testing.T) {
 	shards := []ShardSpec{{Name: "x"}}
 	s1, err := Open(Options{Algorithm: Replication, F: 1, ValueSize: 32, Shards: shards})
@@ -352,6 +317,21 @@ func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+
+	// Rounds return at their quorum, so stragglers may still sit in the nodes'
+	// service queues. The store is quiescent once a whole 10ms passes without
+	// a service period completing (one period is 200µs).
+	cluster := store.set.Cluster()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		periods := cluster.LiveServicePeriods()
+		time.Sleep(10 * time.Millisecond)
+		if cluster.LiveServicePeriods() == periods {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("service queues still draining 5s after the load stopped")
+		}
+	}
 
 	// At quiescence the one-call accessors must agree with the breakdown too.
 	total, perShard := store.StorageBreakdown()
